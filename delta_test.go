@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/delta"
+	"repro/internal/perfgate"
 	"repro/internal/snap"
 	"repro/internal/synth"
 )
@@ -223,7 +225,10 @@ func TestDeltaFileRoundTrip(t *testing.T) {
 
 // TestDeltaApplyBeatsResynthesis is the incremental-maintenance perf
 // floor: patching a warm study with one year must be at least 10x faster
-// than resynthesizing the grown corpus and rebuilding its frames.
+// than resynthesizing the grown corpus and rebuilding its frames. The
+// sides run in interleaved pairs of time-sized batches and the gate reads
+// the median ratio. Each apply needs a fresh base study, built and
+// collected outside the timed window.
 func TestDeltaApplyBeatsResynthesis(t *testing.T) {
 	if raceEnabled {
 		t.Skip("timing gate disabled under the race detector")
@@ -234,39 +239,37 @@ func TestDeltaApplyBeatsResynthesis(t *testing.T) {
 	full := deltaFix.cfg
 	full.Confs = append(append([]synth.ConfSpec(nil), deltaFix.cfg.Confs...), deltaFix.spec)
 
-	apply := testing.Benchmark(func(b *testing.B) {
-		b.StopTimer()
-		for i := 0; i < b.N; i++ {
-			s, err := NewStudyFromConfig(deltaFix.cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			s.Frames()
+	apply := func(n int) time.Duration {
+		var d time.Duration
+		for i := 0; i < n; i++ {
+			s := deltaFix.newBase(t)
 			// Settle the setup's garbage outside the timed window; the
 			// gate measures the apply, not the base synthesis's GC debt.
 			runtime.GC()
-			b.StartTimer()
+			start := time.Now()
 			if err := s.ApplyDelta(deltaFix.info, deltaFix.mini); err != nil {
-				b.Fatal(err)
+				t.Fatal(err)
 			}
-			b.StopTimer()
+			d += time.Since(start)
 		}
-	})
-	resynth := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
+		return d
+	}
+	resynth := func(n int) time.Duration {
+		start := time.Now()
+		for i := 0; i < n; i++ {
 			s, err := NewStudyFromConfig(full)
 			if err != nil {
-				b.Fatal(err)
+				t.Fatal(err)
 			}
 			s.Frames()
 		}
-	})
-	applyNs := float64(apply.NsPerOp())
-	resynthNs := float64(resynth.NsPerOp())
-	t.Logf("delta apply: %.2fms, full resynthesis + frame build: %.2fms (%.1fx)",
-		applyNs/1e6, resynthNs/1e6, resynthNs/applyNs)
-	if applyNs*10 > resynthNs {
-		t.Errorf("delta apply (%.2fms) is not 10x faster than resynthesis (%.2fms)",
-			applyNs/1e6, resynthNs/1e6)
+		return time.Since(start)
+	}
+	res := perfgate.Compare(11, gateSample, resynth, apply)
+	t.Logf("delta apply: %.2fms, full resynthesis + frame build: %.2fms (median ratio %.1fx)",
+		ms(res.Fast), ms(res.Slow), res.Ratio)
+	if res.Ratio < 10 {
+		t.Errorf("delta apply (%.2fms) is not 10x faster than resynthesis (%.2fms): median ratio %.1fx",
+			ms(res.Fast), ms(res.Slow), res.Ratio)
 	}
 }

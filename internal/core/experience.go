@@ -85,25 +85,17 @@ type GenderGapKS struct {
 
 // DistributionGap runs the KS comparison for a metric and role.
 func DistributionGap(d *dataset.Dataset, m Metric, role dataset.Role) (GenderGapKS, error) {
-	samples, err := ExperienceDistributions(d, m, role)
+	samples, err := genderSamples(d, m, role)
 	if err != nil {
 		return GenderGapKS{}, err
 	}
-	var fem, mal []float64
-	var femMed, malMed float64
-	for _, s := range samples {
-		if s.Gender == gender.Female {
-			fem = s.Values
-			femMed = s.Summary.Median
-		} else {
-			mal = s.Values
-			malMed = s.Summary.Median
-		}
-	}
+	fem, mal := samples[0], samples[1]
 	ks, err := stats.KolmogorovSmirnov(fem, mal)
 	if err != nil {
 		return GenderGapKS{}, err
 	}
+	femMed, _ := stats.Median(fem)
+	malMed, _ := stats.Median(mal)
 	return GenderGapKS{
 		Metric:         m,
 		Role:           role,
@@ -120,27 +112,12 @@ func ExperienceDistributions(d *dataset.Dataset, m Metric, roles ...dataset.Role
 	}
 	var out []GroupSample
 	for _, role := range roles {
-		var ids []dataset.PersonID
-		if role == dataset.RoleAuthor {
-			ids = d.UniqueAuthors()
-		} else {
-			ids = d.UniqueRoleHolders(role)
+		samples, err := genderSamples(d, m, role)
+		if err != nil {
+			return nil, err
 		}
-		byGender := map[gender.Gender][]float64{}
-		for _, id := range ids {
-			p, ok := d.Person(id)
-			if !ok || !p.Gender.Known() {
-				continue
-			}
-			if v, ok := m.read(p); ok {
-				byGender[p.Gender] = append(byGender[p.Gender], v)
-			}
-		}
-		for _, g := range []gender.Gender{gender.Female, gender.Male} {
-			vals := byGender[g]
-			if len(vals) < 2 {
-				return nil, fmt.Errorf("core: too few %s %s with %s data (%d)", g, role, m, len(vals))
-			}
+		for i, g := range sampleGenders {
+			vals := samples[i]
 			sum, err := stats.Summarize(vals)
 			if err != nil {
 				return nil, err
@@ -157,6 +134,41 @@ func ExperienceDistributions(d *dataset.Dataset, m Metric, roles ...dataset.Role
 		}
 	}
 	return out, nil
+}
+
+// sampleGenders orders the per-gender samples of a role population.
+var sampleGenders = [2]gender.Gender{gender.Female, gender.Male}
+
+// genderSamples reads metric m for one role's unique persons (in ID
+// order), split by gender in sampleGenders order; each sample needs at
+// least two values.
+func genderSamples(d *dataset.Dataset, m Metric, role dataset.Role) ([2][]float64, error) {
+	var ids []dataset.PersonID
+	if role == dataset.RoleAuthor {
+		ids = d.UniqueAuthors()
+	} else {
+		ids = d.UniqueRoleHolders(role)
+	}
+	var samples [2][]float64
+	for _, id := range ids {
+		p, ok := d.Person(id)
+		if !ok || !p.Gender.Known() {
+			continue
+		}
+		if v, ok := m.read(p); ok {
+			i := 0
+			if p.Gender == gender.Male {
+				i = 1
+			}
+			samples[i] = append(samples[i], v)
+		}
+	}
+	for i, g := range sampleGenders {
+		if len(samples[i]) < 2 {
+			return samples, fmt.Errorf("core: too few %s %s with %s data (%d)", g, role, m, len(samples[i]))
+		}
+	}
+	return samples, nil
 }
 
 // SourceCorrelation is the §5.1 Google Scholar vs Semantic Scholar

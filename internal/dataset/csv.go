@@ -50,13 +50,11 @@ func (d *Dataset) WritePersonsCSV(w io.Writer) error {
 		return err
 	}
 	// Deterministic row order.
-	ids := sortedIDs(func() map[PersonID]bool {
-		m := make(map[PersonID]bool, len(d.Persons))
-		for id := range d.Persons {
-			m[id] = true
-		}
-		return m
-	}())
+	ids := make([]PersonID, 0, len(d.Persons))
+	for id := range d.Persons {
+		ids = append(ids, id)
+	}
+	ids = uniqueSorted(ids)
 	for _, id := range ids {
 		p := d.Persons[id]
 		row := []string{

@@ -2,7 +2,7 @@ package dataset
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/gender"
 )
@@ -99,8 +99,13 @@ func (d *Dataset) Person(id PersonID) (*Person, bool) {
 // three papers appears three times. This is the population behind the
 // paper's "2236 authors" phrasing.
 func (d *Dataset) AuthorSlots(confs ...ConfID) []PersonID {
-	var out []PersonID
-	for _, p := range d.papersIn(confs) {
+	papers := d.papersIn(confs)
+	n := 0
+	for _, p := range papers {
+		n += len(p.Authors)
+	}
+	out := make([]PersonID, 0, n)
+	for _, p := range papers {
 		out = append(out, p.Authors...)
 	}
 	return out
@@ -110,13 +115,7 @@ func (d *Dataset) AuthorSlots(confs ...ConfID) []PersonID {
 // conferences (all if none specified), sorted by ID for determinism. This
 // is the population behind "1885 unique coauthors".
 func (d *Dataset) UniqueAuthors(confs ...ConfID) []PersonID {
-	seen := make(map[PersonID]bool)
-	for _, p := range d.papersIn(confs) {
-		for _, a := range p.Authors {
-			seen[a] = true
-		}
-	}
-	return sortedIDs(seen)
+	return uniqueSorted(d.AuthorSlots(confs...))
 }
 
 // LeadAuthors returns the first author of each paper in the given
@@ -160,24 +159,13 @@ func (d *Dataset) RoleSlots(r Role, confs ...ConfID) []PersonID {
 // UniqueRoleHolders deduplicates RoleSlots (the paper's "908 total" unique
 // PC members), sorted by ID.
 func (d *Dataset) UniqueRoleHolders(r Role, confs ...ConfID) []PersonID {
-	seen := make(map[PersonID]bool)
-	for _, id := range d.RoleSlots(r, confs...) {
-		seen[id] = true
-	}
-	return sortedIDs(seen)
+	return uniqueSorted(d.RoleSlots(r, confs...))
 }
 
 // UniqueAuthorsAndPC returns the union of unique authors and unique PC
 // members — the "3456 authors and PC members" demographic population of §5.
 func (d *Dataset) UniqueAuthorsAndPC() []PersonID {
-	seen := make(map[PersonID]bool)
-	for _, id := range d.AuthorSlots() {
-		seen[id] = true
-	}
-	for _, id := range d.RoleSlots(RolePCMember) {
-		seen[id] = true
-	}
-	return sortedIDs(seen)
+	return uniqueSorted(append(d.AuthorSlots(), d.RoleSlots(RolePCMember)...))
 }
 
 // HPCPapers returns the manually HPC-tagged subset (§4.1) across the given
@@ -271,11 +259,9 @@ func (d *Dataset) confsIn(confs []ConfID) []*Conference {
 	return out
 }
 
-func sortedIDs(set map[PersonID]bool) []PersonID {
-	out := make([]PersonID, 0, len(set))
-	for id := range set {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+// uniqueSorted sorts ids ascending and drops repeats, in place; callers
+// pass a slice they own.
+func uniqueSorted(ids []PersonID) []PersonID {
+	slices.Sort(ids)
+	return slices.Compact(ids)
 }

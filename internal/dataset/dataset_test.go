@@ -2,6 +2,10 @@ package dataset
 
 import (
 	"errors"
+	"fmt"
+	"math/rand/v2"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
@@ -150,6 +154,84 @@ func TestRolePopulations(t *testing.T) {
 	all := d.UniqueAuthorsAndPC()
 	if len(all) != 6 {
 		t.Errorf("UniqueAuthorsAndPC = %d, want 6", len(all))
+	}
+}
+
+// mapUnique is the set-then-sort construction uniqueSorted replaced, kept
+// as the oracle.
+func mapUnique(ids []PersonID) []PersonID {
+	seen := make(map[PersonID]bool)
+	for _, id := range ids {
+		seen[id] = true
+	}
+	out := make([]PersonID, 0, len(seen))
+	for id := range seen {
+		out = append(out, id)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+func TestUniqueSortedMatchesMapOracle(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 4))
+	for trial := 0; trial < 500; trial++ {
+		ids := make([]PersonID, rng.IntN(60))
+		for i := range ids {
+			ids[i] = PersonID(fmt.Sprintf("r%d", rng.IntN(25)))
+		}
+		want := mapUnique(ids)
+		if got := uniqueSorted(slices.Clone(ids)); !slices.Equal(got, want) {
+			t.Fatalf("uniqueSorted(%v) = %v, want %v", ids, got, want)
+		}
+	}
+}
+
+// TestUniquePopulationsLeaveRostersAlone checks the unique populations
+// against the oracle and that sorting them in place never reorders the
+// author lists or rosters they are drawn from.
+func TestUniquePopulationsLeaveRostersAlone(t *testing.T) {
+	d := tinyCorpus(t)
+	// Unsorted sources, so an in-place sort of a shared slice would show.
+	for _, p := range d.Papers {
+		slices.Reverse(p.Authors)
+	}
+	for _, c := range d.Conferences {
+		slices.Reverse(c.PCMembers)
+	}
+	var before [][]PersonID
+	for _, p := range d.Papers {
+		before = append(before, slices.Clone(p.Authors))
+	}
+	for _, c := range d.Conferences {
+		before = append(before, slices.Clone(c.PCMembers))
+	}
+	checks := []struct {
+		name       string
+		got, slots []PersonID
+	}{
+		{"authors", d.UniqueAuthors(), d.AuthorSlots()},
+		{"SC17 authors", d.UniqueAuthors("SC17"), d.AuthorSlots("SC17")},
+		{"PC", d.UniqueRoleHolders(RolePCMember), d.RoleSlots(RolePCMember)},
+		{"HPDC17 PC", d.UniqueRoleHolders(RolePCMember, "HPDC17"), d.RoleSlots(RolePCMember, "HPDC17")},
+		{"HPDC17 authors", d.UniqueAuthors("HPDC17"), d.AuthorSlots("HPDC17")},
+		{"authors and PC", d.UniqueAuthorsAndPC(), append(d.AuthorSlots(), d.RoleSlots(RolePCMember)...)},
+	}
+	for _, c := range checks {
+		if want := mapUnique(c.slots); !slices.Equal(c.got, want) {
+			t.Errorf("%s: %v, want %v", c.name, c.got, want)
+		}
+	}
+	var after [][]PersonID
+	for _, p := range d.Papers {
+		after = append(after, p.Authors)
+	}
+	for _, c := range d.Conferences {
+		after = append(after, c.PCMembers)
+	}
+	for i := range before {
+		if !slices.Equal(after[i], before[i]) {
+			t.Errorf("unique populations reordered a source list: %v, was %v", after[i], before[i])
+		}
 	}
 }
 

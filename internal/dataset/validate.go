@@ -41,6 +41,9 @@ func (d *Dataset) Validate() error {
 		}
 	}
 	seenConf := make(map[ConfID]bool, len(d.Conferences))
+	// Membership sets are cleared and reused per roster and per author
+	// list rather than allocated for each.
+	seen := make(map[PersonID]bool)
 	for _, c := range d.Conferences {
 		if c == nil || c.ID == "" {
 			return invalidf("nil or unidentified conference")
@@ -56,7 +59,7 @@ func (d *Dataset) Validate() error {
 			return invalidf("conference %q implausible year %d", c.ID, c.Year)
 		}
 		for _, r := range []Role{RolePCChair, RolePCMember, RoleKeynote, RolePanelist, RoleSessionChair} {
-			seen := make(map[PersonID]bool)
+			clear(seen)
 			for _, id := range c.RoleHolders(r) {
 				if _, ok := d.Persons[id]; !ok {
 					return invalidf("conference %q %s roster references unknown person %q", c.ID, r, id)
@@ -69,6 +72,7 @@ func (d *Dataset) Validate() error {
 		}
 	}
 	seenPaper := make(map[PaperID]bool, len(d.Papers))
+	seenAuthor := make(map[PersonID]bool)
 	for _, p := range d.Papers {
 		if p == nil || p.ID == "" {
 			return invalidf("nil or unidentified paper")
@@ -86,7 +90,7 @@ func (d *Dataset) Validate() error {
 		if p.Citations36 < 0 {
 			return invalidf("paper %q has negative citations %d", p.ID, p.Citations36)
 		}
-		seenAuthor := make(map[PersonID]bool, len(p.Authors))
+		clear(seenAuthor)
 		for _, a := range p.Authors {
 			if _, ok := d.Persons[a]; !ok {
 				return invalidf("paper %q references unknown author %q", p.ID, a)

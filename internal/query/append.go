@@ -341,8 +341,19 @@ func (fs *FrameSet) appendMembers(d *dataset.Dataset, c *dataset.Conference) err
 	// Rebuild the base conferences' seen sets directly: only membership
 	// matters here (emitConfMembers sorts the new conference's qualifiers
 	// itself), so the per-conference sorted scans confNewMembers runs
-	// during a full build would cost milliseconds for nothing.
-	seenAuthor := make(map[dataset.PersonID]bool, len(d.Persons))
+	// during a full build would cost milliseconds for nothing. And only
+	// the new conference's participants are ever looked up, so the sets
+	// hold just those of them who qualified earlier.
+	cand := make(map[dataset.PersonID]bool)
+	for _, p := range d.PapersOf(c.ID) {
+		for _, id := range p.Authors {
+			cand[id] = true
+		}
+	}
+	for _, id := range c.PCMembers {
+		cand[id] = true
+	}
+	seenAuthor := make(map[dataset.PersonID]bool)
 	seenPC := make(map[dataset.PersonID]bool)
 	for _, bc := range d.Conferences {
 		if bc.ID == c.ID {
@@ -350,11 +361,15 @@ func (fs *FrameSet) appendMembers(d *dataset.Dataset, c *dataset.Conference) err
 		}
 		for _, p := range d.PapersOf(bc.ID) {
 			for _, id := range p.Authors {
-				seenAuthor[id] = true
+				if cand[id] {
+					seenAuthor[id] = true
+				}
 			}
 		}
 		for _, id := range bc.PCMembers {
-			seenPC[id] = true
+			if cand[id] {
+				seenPC[id] = true
+			}
 		}
 	}
 	s := membersSinks{role: a[0], person: a[1], pc: personAppendSinks(a[2:8])}

@@ -1,23 +1,24 @@
 package query
 
-import "maps"
+import (
+	"slices"
+
+	"repro/internal/dataset"
+)
 
 // Clone returns an independent copy of the dictionary with identical code
-// assignments. The index map is cloned wholesale rather than re-interned
-// entry by entry — on the delta-apply path the person dictionaries hold
-// tens of thousands of entries and the re-insertion cost was measurable.
+// assignments. The slot index is copied as is: it is a flat table, and
+// its power-of-two slack usually absorbs a delta's new values without a
+// reindex.
 func (d *Dict) Clone() *Dict {
-	return &Dict{
-		vals: append([]string(nil), d.vals...),
-		idx:  maps.Clone(d.idx),
-	}
+	return &Dict{vals: cloneGrown(d.vals), slots: slices.Clone(d.slots)}
 }
 
 // Clone returns a deep copy of the column: vectors, bitmaps and the
 // dictionary are all copied, so in-place maintenance on the clone leaves
 // the receiver untouched. Nil slices (including the nil all-valid bitmap)
 // stay nil. The copies carry one conference-year's worth of headroom
-// (an eighth of the row count), so the delta-apply path appends without
+// (see dataset.CloneCap), so the delta-apply path appends without
 // immediately recopying every full column vector.
 func (c *Column) Clone() *Column {
 	out := &Column{Name: c.Name, Type: c.Type}
@@ -36,7 +37,7 @@ func cloneGrown[S ~[]E, E any](s S) S {
 	if s == nil {
 		return nil
 	}
-	out := make(S, len(s), len(s)+len(s)/8+64)
+	out := make(S, len(s), dataset.CloneCap(len(s)))
 	copy(out, s)
 	return out
 }

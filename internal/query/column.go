@@ -15,7 +15,10 @@
 // families byte-for-byte (see repro_test.go at the module root).
 package query
 
-import "strconv"
+import (
+	"hash/maphash"
+	"strconv"
+)
 
 // ColType is the storage type of one column vector.
 type ColType int8
@@ -62,34 +65,99 @@ func (b Bitmap) Get(i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
 // order meaningful (e.g. conference dictionaries follow Table 1 order).
 type Dict struct {
 	vals []string
-	idx  map[string]int32
+	// slots is an open-addressing (linear probing) index over vals: a slot
+	// holds code+1, zero marks it empty, and the power-of-two table stays
+	// at most half full. Unlike a map[string]int32 it holds no pointers,
+	// so the collector never scans it, building it costs one allocation,
+	// and Clone is a plain copy.
+	slots []int32
+}
+
+// dictSeed keys the slot hash. Only slot placement depends on it; codes
+// follow insertion order, so every output is independent of the seed.
+var dictSeed = maphash.MakeSeed()
+
+// dictSlots returns the table size for n values: the smallest power of two
+// of at least 2n, and at least 8.
+func dictSlots(n int) int {
+	size := 8
+	for size < 2*n {
+		size *= 2
+	}
+	return size
 }
 
 // NewDict returns an empty dictionary, pre-seeding the given values in
 // order (seeding fixes the appearance order independently of row order).
 func NewDict(seed ...string) *Dict {
-	d := &Dict{idx: make(map[string]int32, len(seed))}
+	d := &Dict{vals: make([]string, 0, len(seed)), slots: make([]int32, dictSlots(len(seed)))}
 	for _, s := range seed {
 		d.Code(s)
 	}
 	return d
 }
 
+// DictOf returns the dictionary whose code i is vals[i], taking ownership
+// of vals (decoders hand over a freshly decoded slice). ok is false when
+// vals repeats a value, which no dictionary can hold.
+func DictOf(vals []string) (d *Dict, ok bool) {
+	d = &Dict{vals: vals, slots: make([]int32, dictSlots(len(vals)))}
+	for i, s := range vals {
+		slot, _, dup := d.find(s)
+		if dup {
+			return nil, false
+		}
+		d.slots[slot] = int32(i) + 1
+	}
+	return d, true
+}
+
+// find probes for s. When present it returns its code; otherwise slot is
+// the empty slot where s belongs.
+func (d *Dict) find(s string) (slot int, code int32, ok bool) {
+	mask := len(d.slots) - 1
+	i := int(maphash.String(dictSeed, s)) & mask
+	for {
+		c := d.slots[i]
+		if c == 0 {
+			return i, 0, false
+		}
+		if d.vals[c-1] == s {
+			return i, c - 1, true
+		}
+		i = (i + 1) & mask
+	}
+}
+
 // Code interns s, returning its stable code.
 func (d *Dict) Code(s string) int32 {
-	if c, ok := d.idx[s]; ok {
+	slot, c, ok := d.find(s)
+	if ok {
 		return c
 	}
-	c := int32(len(d.vals))
+	c = int32(len(d.vals))
 	d.vals = append(d.vals, s)
-	d.idx[s] = c
+	if 2*len(d.vals) > len(d.slots) {
+		d.reindex(dictSlots(len(d.vals)))
+	} else {
+		d.slots[slot] = c + 1
+	}
 	return c
+}
+
+// reindex rebuilds the slot table at the given size.
+func (d *Dict) reindex(size int) {
+	d.slots = make([]int32, size)
+	for i, s := range d.vals {
+		slot, _, _ := d.find(s)
+		d.slots[slot] = int32(i) + 1
+	}
 }
 
 // Lookup returns the code for s without interning; ok is false when s was
 // never seen (predicates on absent values become constant-false).
 func (d *Dict) Lookup(s string) (int32, bool) {
-	c, ok := d.idx[s]
+	_, c, ok := d.find(s)
 	return c, ok
 }
 

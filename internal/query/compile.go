@@ -497,6 +497,11 @@ func compile(fs *FrameSet, q *Query) (*plan, error) {
 			if err != nil {
 				return nil, err
 			}
+			// Projected rows carry the per-row tokens group keys use (sorts
+			// order on them), and tokens have no float encoding.
+			if col.Type == TFloat {
+				return nil, invalidf("select[%d]: cannot select float column %q", i, k.Col)
+			}
 			if k.Hide {
 				return nil, invalidf("select[%d]: hide is meaningless in a projection", i)
 			}

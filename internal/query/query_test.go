@@ -3,8 +3,11 @@ package query
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
+	"math/rand/v2"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -161,6 +164,8 @@ func TestValidationErrors(t *testing.T) {
 			Select: []Key{{Col: "role"}}}, "not supported on float"},
 		{"float group key", &Query{Frame: FrameSlots, GroupBy: []Key{{Col: "attendance"}},
 			Aggs: []Agg{{Op: "count", As: "n"}}}, "cannot group by float"},
+		{"float select", &Query{Frame: FramePeople, Select: []Key{{Col: "hindex"}}}, "cannot select float"},
+		{"float select among keys", &Query{Frame: FrameSlots, Select: []Key{{Col: "role"}, {Col: "attendance"}}}, "cannot select float"},
 		{"agg without name", &Query{Frame: FrameSlots, GroupBy: []Key{{Col: "role"}},
 			Aggs: []Agg{{Op: "count"}}}, "output name"},
 		{"duplicate output", &Query{Frame: FrameSlots, GroupBy: []Key{{Col: "role"}},
@@ -419,5 +424,71 @@ func TestJSONEncodingHandlesNaN(t *testing.T) {
 	}
 	if !bytes.Contains(csvB, []byte("NaN")) {
 		t.Errorf("expected NaN cells in CSV: %s", csvB)
+	}
+}
+
+// TestDictMatchesMapIndex drives the open-addressing dictionary through
+// growth against a map oracle: codes follow first insertion, lookups of
+// absent values miss, a clone grows independently of its source, and
+// DictOf rejects repeated values.
+func TestDictMatchesMapIndex(t *testing.T) {
+	rng := rand.New(rand.NewPCG(21, 2021))
+	d := NewDict("seed-a", "seed-b", "seed-a")
+	oracle := map[string]int32{"seed-a": 0, "seed-b": 1}
+	order := []string{"seed-a", "seed-b"}
+	var snapshot *Dict
+	var snapLen int
+	for i := 0; i < 20000; i++ {
+		s := fmt.Sprintf("v%d", rng.IntN(6000))
+		if rng.IntN(3) == 0 {
+			c, ok := d.Lookup(s)
+			want, wantOK := oracle[s]
+			if ok != wantOK || (ok && c != want) {
+				t.Fatalf("Lookup(%q) = %d,%v, want %d,%v", s, c, ok, want, wantOK)
+			}
+			continue
+		}
+		want, seen := oracle[s]
+		if !seen {
+			want = int32(len(order))
+			oracle[s] = want
+			order = append(order, s)
+		}
+		if c := d.Code(s); c != want {
+			t.Fatalf("Code(%q) = %d, want %d", s, c, want)
+		}
+		if i == 5000 {
+			snapshot, snapLen = d.Clone(), d.Len()
+		}
+	}
+	if d.Len() != len(order) || !slices.Equal(d.Values(), order) {
+		t.Fatalf("dictionary holds %d values, want %d in insertion order", d.Len(), len(order))
+	}
+	if snapshot.Len() != snapLen {
+		t.Fatalf("clone grew with its source: %d values, want %d", snapshot.Len(), snapLen)
+	}
+	for _, s := range order[snapLen:] {
+		if _, ok := snapshot.Lookup(s); ok {
+			t.Fatalf("clone sees %q, added to its source after cloning", s)
+		}
+	}
+	if c := snapshot.Code("only-in-clone"); c != int32(snapLen) {
+		t.Fatalf("clone assigned code %d, want %d", c, snapLen)
+	}
+	if _, ok := d.Lookup("only-in-clone"); ok {
+		t.Fatal("source sees a value added to its clone")
+	}
+
+	got, ok := DictOf(slices.Clone(order))
+	if !ok || !slices.Equal(got.Values(), order) {
+		t.Fatal("DictOf rejected or reordered distinct values")
+	}
+	for _, s := range order {
+		if c, _ := got.Lookup(s); c != oracle[s] {
+			t.Fatalf("DictOf lookup %q = %d, want %d", s, c, oracle[s])
+		}
+	}
+	if _, ok := DictOf([]string{"x", "y", "x"}); ok {
+		t.Fatal("DictOf accepted a repeated value")
 	}
 }

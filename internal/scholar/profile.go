@@ -11,10 +11,7 @@
 // directories standing in for the two services.
 package scholar
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Profile is a Google-Scholar-style researcher profile snapshot (circa the
 // conference date, as the paper collected them).
@@ -54,19 +51,29 @@ func (p Profile) Validate() error {
 }
 
 // HIndex returns Hirsch's h-index: the largest h such that at least h
-// publications have at least h citations each.
+// publications have at least h citations each. It tallies publications
+// per citation level, folding every level at or above the publication
+// count into the top bucket (h cannot exceed it), then walks the levels
+// downward: the first level whose running tally reaches it is h. That is
+// O(n) with no copy or sort of the input.
 func HIndex(citations []int) int {
-	sorted := append([]int(nil), citations...)
-	sort.Sort(sort.Reverse(sort.IntSlice(sorted)))
-	h := 0
-	for i, c := range sorted {
-		if c >= i+1 {
-			h = i + 1
-		} else {
-			break
+	n := len(citations)
+	atLeast := make([]int, n+1)
+	for _, c := range citations {
+		if c >= n {
+			atLeast[n]++
+		} else if c > 0 {
+			atLeast[c]++
 		}
 	}
-	return h
+	total := 0
+	for h := n; h > 0; h-- {
+		total += atLeast[h]
+		if total >= h {
+			return h
+		}
+	}
+	return 0
 }
 
 // I10Index returns Google Scholar's i10-index: the number of publications

@@ -3,6 +3,7 @@ package scholar
 import (
 	"math"
 	"math/rand/v2"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -64,6 +65,51 @@ func TestHIndexAxioms(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// sortedHIndex is the textbook definition HIndex replaced, kept as the
+// oracle: reverse-sort a copy and take the longest prefix whose i-th entry
+// (1-based) is at least i.
+func sortedHIndex(citations []int) int {
+	sorted := append([]int(nil), citations...)
+	sort.Sort(sort.Reverse(sort.IntSlice(sorted)))
+	h := 0
+	for i, c := range sorted {
+		if c < i+1 {
+			break
+		}
+		h = i + 1
+	}
+	return h
+}
+
+// TestHIndexMatchesSortedDefinition pins the counting h-index to the
+// sort-based definition on the shapes that stress it: empty and all-zero
+// vectors, negatives, heavy ties, and values at or beyond the vector
+// length (which share the counting pass's top bucket).
+func TestHIndexMatchesSortedDefinition(t *testing.T) {
+	fixed := [][]int{
+		nil, {}, {0}, {0, 0, 0}, {-1}, {-5, -1, 0, 3}, {1}, {2}, {1, 1},
+		{3, 3, 3}, {4, 4, 4}, {100, 100}, {5, 5, 5, 5, 5}, {6, 0, 6, 0, 6, 0},
+		{1 << 40, -1 << 40, 2, 2},
+	}
+	for _, c := range fixed {
+		if got, want := HIndex(c), sortedHIndex(c); got != want {
+			t.Errorf("HIndex(%v) = %d, sorted definition gives %d", c, got, want)
+		}
+	}
+	rng := rand.New(rand.NewPCG(13, 17))
+	for trial := 0; trial < 5000; trial++ {
+		n := rng.IntN(40)
+		hi := 1 + rng.IntN(2*n+2) // spans values below, at and above n
+		c := make([]int, n)
+		for i := range c {
+			c[i] = rng.IntN(hi+3) - 3 // a few negatives
+		}
+		if got, want := HIndex(c), sortedHIndex(c); got != want {
+			t.Fatalf("HIndex(%v) = %d, sorted definition gives %d", c, got, want)
+		}
 	}
 }
 

@@ -124,6 +124,8 @@ func TestQueryBadRequests(t *testing.T) {
 		{"float equality", `{"frame":"slots","where":[{"col":"attendance","op":"eq","value":1}],"select":["conference"]}`, http.StatusBadRequest},
 		{"empty group result", `{"frame":"people","where":[{"col":"country","op":"eq","value":"Atlantis"}],"group_by":["country"],"aggs":[{"op":"count","as":"n"}]}`, http.StatusUnprocessableEntity},
 		{"trailing data", `{"frame":"slots","select":["conference"]} extra`, http.StatusBadRequest},
+		{"float select", `{"frame":"people","select":[{"col":"hindex"}]}`, http.StatusBadRequest},
+		{"float select among keys", `{"frame":"slots","select":["conference","attendance"]}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -133,6 +135,9 @@ func TestQueryBadRequests(t *testing.T) {
 			}
 			decodeQueryError(t, rec)
 		})
+	}
+	if got := s.met.panics.Value(); got != 0 {
+		t.Errorf("whpcd_panics_total = %d after the bad-request matrix, want 0", got)
 	}
 }
 

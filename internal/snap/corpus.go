@@ -146,7 +146,7 @@ func decodePersons(data []byte, want int, d *dataset.Dataset) ([]string, error) 
 	if n != want {
 		return nil, dc.err(fmt.Sprintf("person count %d disagrees with meta count %d", n, want), ErrCorrupt)
 	}
-	ids, err := dc.strCol("person ids")
+	ids, err := dc.strCol("person ids", nil)
 	if err != nil {
 		return nil, err
 	}
@@ -158,30 +158,38 @@ func decodePersons(data []byte, want int, d *dataset.Dataset) ([]string, error) 
 			return nil, dc.err(fmt.Sprintf("person ids not strictly sorted at row %d", i), ErrCorrupt)
 		}
 	}
+	// Slab-allocate the structs (one allocation instead of one per
+	// researcher). Every other column is copied into the slab as soon as
+	// it decodes, through one scratch vector per kind reused across
+	// columns, so no column outlives its copy.
+	people := make([]dataset.Person, n)
+	for i, sid := range ids {
+		people[i].ID = dataset.PersonID(sid)
+	}
+	var strs []string
+	var ints []int64
 	col := func(what string) ([]string, error) {
-		c, err := dc.strCol(what)
-		if err != nil {
+		if strs, err = dc.strCol(what, strs); err != nil {
 			return nil, err
 		}
-		if len(c) != n {
-			return nil, dc.err(fmt.Sprintf("%s column has %d rows, want %d", what, len(c), n), ErrCorrupt)
+		if len(strs) != n {
+			return nil, dc.err(fmt.Sprintf("%s column has %d rows, want %d", what, len(strs), n), ErrCorrupt)
 		}
-		return c, nil
+		return strs, nil
 	}
 	icol := func(what string, min, max int64) ([]int64, error) {
-		c, err := dc.intCol(what)
-		if err != nil {
+		if ints, err = dc.intCol(what, ints); err != nil {
 			return nil, err
 		}
-		if len(c) != n {
-			return nil, dc.err(fmt.Sprintf("%s column has %d rows, want %d", what, len(c), n), ErrCorrupt)
+		if len(ints) != n {
+			return nil, dc.err(fmt.Sprintf("%s column has %d rows, want %d", what, len(ints), n), ErrCorrupt)
 		}
-		for i, v := range c {
+		for i, v := range ints {
 			if v < min || v > max {
 				return nil, dc.err(fmt.Sprintf("%s row %d value %d outside [%d, %d]", what, i, v, min, max), ErrCorrupt)
 			}
 		}
-		return c, nil
+		return ints, nil
 	}
 	dictCol := func(what string) ([]string, []int32, error) {
 		vals, err := dc.strDict(what + " dictionary")
@@ -202,37 +210,64 @@ func decodePersons(data []byte, want int, d *dataset.Dataset) ([]string, error) 
 	if err != nil {
 		return nil, err
 	}
+	for i, s := range names {
+		people[i].Name = s
+	}
 	forenames, err := col("person forenames")
 	if err != nil {
 		return nil, err
+	}
+	for i, s := range forenames {
+		people[i].Forename = s
 	}
 	trueGenders, err := icol("person true_gender", int64(gender.Unknown), int64(gender.Male))
 	if err != nil {
 		return nil, err
 	}
+	for i, v := range trueGenders {
+		people[i].TrueGender = gender.Gender(v)
+	}
 	genders, err := icol("person gender", int64(gender.Unknown), int64(gender.Male))
 	if err != nil {
 		return nil, err
+	}
+	for i, v := range genders {
+		people[i].Gender = gender.Gender(v)
 	}
 	methods, err := icol("person assign_method", int64(gender.MethodNone), int64(gender.MethodAutomated))
 	if err != nil {
 		return nil, err
 	}
+	for i, v := range methods {
+		people[i].AssignMethod = gender.Method(v)
+	}
 	emails, err := col("person emails")
 	if err != nil {
 		return nil, err
+	}
+	for i, s := range emails {
+		people[i].Email = s
 	}
 	affilVals, affilCodes, err := dictCol("person affiliations")
 	if err != nil {
 		return nil, err
 	}
+	for i, c := range affilCodes {
+		people[i].Affiliation = affilVals[c]
+	}
 	countryVals, countryCodes, err := dictCol("person countries")
 	if err != nil {
 		return nil, err
 	}
+	for i, c := range countryCodes {
+		people[i].CountryCode = countryVals[c]
+	}
 	sectors, err := icol("person sectors", int64(affil.SectorUnknown), int64(affil.GOV))
 	if err != nil {
 		return nil, err
+	}
+	for i, v := range sectors {
+		people[i].Sector = affil.Sector(v)
 	}
 	hasGS, err := dc.words("person has_gs bitmap")
 	if err != nil {
@@ -241,32 +276,51 @@ func decodePersons(data []byte, want int, d *dataset.Dataset) ([]string, error) 
 	if err := checkBitmap(dc, "person has_gs", hasGS, n); err != nil {
 		return nil, err
 	}
-	gsCount := popcount(hasGS)
+	// linked lists the people with a profile; the gs_* columns have one
+	// row per linked person, in person order.
+	linked := make([]*scholar.Profile, 0, popcount(hasGS))
+	for i := range people {
+		if bitGet(hasGS, i) {
+			people[i].HasGSProfile = true
+			linked = append(linked, &people[i].GS)
+		}
+	}
 	gcol := func(what string) ([]int64, error) {
-		c, err := dc.intCol(what)
-		if err != nil {
+		if ints, err = dc.intCol(what, ints); err != nil {
 			return nil, err
 		}
-		if len(c) != gsCount {
-			return nil, dc.err(fmt.Sprintf("%s column has %d rows, want %d (one per linked profile)", what, len(c), gsCount), ErrCorrupt)
+		if len(ints) != len(linked) {
+			return nil, dc.err(fmt.Sprintf("%s column has %d rows, want %d (one per linked profile)", what, len(ints), len(linked)), ErrCorrupt)
 		}
-		return c, nil
+		return ints, nil
 	}
 	gsPubs, err := gcol("person gs_pubs")
 	if err != nil {
 		return nil, err
 	}
+	for k, v := range gsPubs {
+		linked[k].Publications = int(v)
+	}
 	gsH, err := gcol("person gs_hindex")
 	if err != nil {
 		return nil, err
+	}
+	for k, v := range gsH {
+		linked[k].HIndex = int(v)
 	}
 	gsI10, err := gcol("person gs_i10")
 	if err != nil {
 		return nil, err
 	}
+	for k, v := range gsI10 {
+		linked[k].I10Index = int(v)
+	}
 	gsCit, err := gcol("person gs_citations")
 	if err != nil {
 		return nil, err
+	}
+	for k, v := range gsCit {
+		linked[k].Citations = int(v)
 	}
 	hasS2, err := dc.words("person has_s2 bitmap")
 	if err != nil {
@@ -275,7 +329,7 @@ func decodePersons(data []byte, want int, d *dataset.Dataset) ([]string, error) 
 	if err := checkBitmap(dc, "person has_s2", hasS2, n); err != nil {
 		return nil, err
 	}
-	s2Pubs, err := dc.intCol("person s2_pubs")
+	s2Pubs, err := dc.intCol("person s2_pubs", ints)
 	if err != nil {
 		return nil, err
 	}
@@ -286,36 +340,12 @@ func decodePersons(data []byte, want int, d *dataset.Dataset) ([]string, error) 
 		return nil, err
 	}
 
-	gi, si := 0, 0
 	// The dataset is freshly constructed and empty: presize the person map
-	// for the decoded population and slab-allocate the structs (one
-	// allocation instead of one per researcher).
+	// for the decoded population.
+	si := 0
 	d.Persons = make(map[dataset.PersonID]*dataset.Person, n)
-	people := make([]dataset.Person, n)
-	for i, sid := range ids {
+	for i := range people {
 		p := &people[i]
-		*p = dataset.Person{
-			ID:           dataset.PersonID(sid),
-			Name:         names[i],
-			Forename:     forenames[i],
-			TrueGender:   gender.Gender(trueGenders[i]),
-			Gender:       gender.Gender(genders[i]),
-			AssignMethod: gender.Method(methods[i]),
-			Email:        emails[i],
-			Affiliation:  affilVals[affilCodes[i]],
-			CountryCode:  countryVals[countryCodes[i]],
-			Sector:       affil.Sector(sectors[i]),
-		}
-		if bitGet(hasGS, i) {
-			p.HasGSProfile = true
-			p.GS = scholar.Profile{
-				Publications: int(gsPubs[gi]),
-				HIndex:       int(gsH[gi]),
-				I10Index:     int(gsI10[gi]),
-				Citations:    int(gsCit[gi]),
-			}
-			gi++
-		}
 		if bitGet(hasS2, i) {
 			p.HasS2 = true
 			p.S2Pubs = int(s2Pubs[si])
@@ -527,11 +557,11 @@ func decodePapers(data []byte, want int, ids []string, d *dataset.Dataset) error
 	if n != want {
 		return dc.err(fmt.Sprintf("paper count %d disagrees with meta count %d", n, want), ErrCorrupt)
 	}
-	paperIDs, err := dc.strCol("paper ids")
+	paperIDs, err := dc.strCol("paper ids", nil)
 	if err != nil {
 		return err
 	}
-	titles, err := dc.strCol("paper titles")
+	titles, err := dc.strCol("paper titles", nil)
 	if err != nil {
 		return err
 	}
@@ -546,7 +576,7 @@ func decodePapers(data []byte, want int, ids []string, d *dataset.Dataset) error
 	if err != nil {
 		return err
 	}
-	citations, err := dc.intCol("paper citations36")
+	citations, err := dc.intCol("paper citations36", nil)
 	if err != nil {
 		return err
 	}
@@ -557,7 +587,7 @@ func decodePapers(data []byte, want int, ids []string, d *dataset.Dataset) error
 	if err := checkBitmap(dc, "paper hpc_topic", hpc, n); err != nil {
 		return err
 	}
-	counts, err := dc.intCol("paper author counts")
+	counts, err := dc.intCol("paper author counts", nil)
 	if err != nil {
 		return err
 	}

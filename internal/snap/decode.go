@@ -3,6 +3,7 @@ package snap
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 )
 
 // dec is a bounds-checked reader over one section payload. Every method
@@ -37,22 +38,54 @@ func (d *dec) finished(what string) error {
 	return nil
 }
 
+// uvarintAt decodes the unsigned varint at data[off:] and returns it with
+// the offset just past it; a returned offset not beyond off marks a
+// truncated or overlong encoding.
+func uvarintAt(data []byte, off int) (uint64, int) {
+	v, n := binary.Uvarint(data[off:])
+	return v, off + n
+}
+
+// uvarintShort decodes a one- or two-byte unsigned varint at data[off:],
+// the common case in code and count columns (codes below 16384); ok is
+// false for anything longer or cut short, which uvarintAt then decodes.
+// It makes no call, so it inlines into the column loops below, which
+// keep their read position in a local and store d.off once.
+func uvarintShort(data []byte, off int) (v uint64, next int, ok bool) {
+	if off < len(data) {
+		b := data[off]
+		if b < 0x80 {
+			return uint64(b), off + 1, true
+		}
+		if off+1 < len(data) && data[off+1] < 0x80 {
+			return uint64(b&0x7f) | uint64(data[off+1])<<7, off + 2, true
+		}
+	}
+	return 0, off, false
+}
+
+// unzigzag maps a zigzag-encoded value back to the signed integer that
+// binary.PutVarint wrote.
+func unzigzag(ux uint64) int64 {
+	v := int64(ux >> 1)
+	if ux&1 != 0 {
+		v = ^v
+	}
+	return v
+}
+
 func (d *dec) uvarint(what string) (uint64, error) {
-	v, n := binary.Uvarint(d.data[d.off:])
-	if n <= 0 {
+	v, next := uvarintAt(d.data, d.off)
+	if next <= d.off {
 		return 0, d.err(what, ErrTruncated)
 	}
-	d.off += n
+	d.off = next
 	return v, nil
 }
 
 func (d *dec) varint(what string) (int64, error) {
-	v, n := binary.Varint(d.data[d.off:])
-	if n <= 0 {
-		return 0, d.err(what, ErrTruncated)
-	}
-	d.off += n
-	return v, nil
+	ux, err := d.uvarint(what)
+	return unzigzag(ux), err
 }
 
 func (d *dec) u8(what string) (uint8, error) {
@@ -138,20 +171,21 @@ func (d *dec) strDict(what string) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	return d.strings(what, n)
+	return d.strings(what, n, nil)
 }
 
-// strings reads n length-prefixed strings. All values share one backing
+// strings reads n length-prefixed strings into buf's storage when it has
+// room, else into a fresh slice; callers that copy each column out as it
+// decodes reuse one buf across columns. All values share one backing
 // allocation (a single copy of the column's byte region) instead of one
 // allocation each, which dominates warm-boot decode time for the large
-// id/name/title columns.
+// id/name/title columns. A first pass validates the lengths and finds the
+// region's end; the second slices the values out of the copy.
 //
 //whpcvet:hot
-func (d *dec) strings(what string, n int) ([]string, error) {
-	type span struct{ off, len int }
-	spans := make([]span, n)
+func (d *dec) strings(what string, n int, buf []string) ([]string, error) {
 	start := d.off
-	for i := range spans {
+	for i := 0; i < n; i++ {
 		ln, adv := binary.Uvarint(d.data[d.off:])
 		if adv <= 0 {
 			//whpcvet:ignore hotalloc error construction aborts the decode; it allocates once per corrupt file, not per iteration
@@ -162,30 +196,46 @@ func (d *dec) strings(what string, n int) ([]string, error) {
 			//whpcvet:ignore hotalloc error construction aborts the decode; it allocates once per corrupt file, not per iteration
 			return nil, d.err(what+": declared value length exceeds remaining bytes", ErrTruncated)
 		}
-		spans[i] = span{d.off, int(ln)}
 		d.off += int(ln)
 	}
-	blob := string(d.data[start:d.off])
-	out := make([]string, n)
-	for i, sp := range spans {
-		rel := sp.off - start
-		out[i] = blob[rel : rel+sp.len]
+	region := d.data[start:d.off]
+	blob := string(region)
+	out := slices.Grow(buf[:0], n)[:n]
+	off := 0
+	for i := range out {
+		ln, adv := binary.Uvarint(region[off:])
+		off += adv
+		out[i] = blob[off : off+int(ln)]
+		off += int(ln)
 	}
 	return out, nil
 }
 
+// intCol reads a varint column into buf's storage when it has room, else
+// into a fresh slice, like strings.
+//
 //whpcvet:hot
-func (d *dec) intCol(what string) ([]int64, error) {
+func (d *dec) intCol(what string, buf []int64) ([]int64, error) {
 	n, err := d.length(what, 1)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]int64, n)
+	out := slices.Grow(buf[:0], n)[:n]
+	data, off := d.data, d.off
 	for i := range out {
-		if out[i], err = d.varint(what); err != nil {
-			return nil, err
+		ux, next, ok := uvarintShort(data, off)
+		if !ok {
+			ux, next = uvarintAt(data, off)
 		}
+		if next <= off {
+			d.off = off
+			//whpcvet:ignore hotalloc error construction aborts the decode; it allocates once per corrupt file, not per iteration
+			return nil, d.err(what, ErrTruncated)
+		}
+		off = next
+		out[i] = unzigzag(ux)
 	}
+	d.off = off
 	return out, nil
 }
 
@@ -200,17 +250,26 @@ func (d *dec) codeCol(what string, dictLen int) ([]int32, error) {
 		return nil, err
 	}
 	out := make([]int32, n)
+	data, off := d.data, d.off
 	for i := range out {
-		v, err := d.uvarint(what)
-		if err != nil {
-			return nil, err
+		v, next, ok := uvarintShort(data, off)
+		if !ok {
+			v, next = uvarintAt(data, off)
 		}
+		if next <= off {
+			d.off = off
+			//whpcvet:ignore hotalloc error construction aborts the decode; it allocates once per corrupt file, not per iteration
+			return nil, d.err(what, ErrTruncated)
+		}
+		off = next
 		if v >= uint64(dictLen) {
+			d.off = off
 			//whpcvet:ignore hotalloc error construction aborts the decode; it allocates once per corrupt file, not per iteration
 			return nil, d.err(what+": dictionary code out of range", ErrCorrupt)
 		}
 		out[i] = int32(v)
 	}
+	d.off = off
 	return out, nil
 }
 
@@ -229,10 +288,12 @@ func (d *dec) floatCol(what string) ([]float64, error) {
 	return out, nil
 }
 
-func (d *dec) strCol(what string) ([]string, error) {
+// strCol reads a raw string column, reusing buf's storage as strings
+// does.
+func (d *dec) strCol(what string, buf []string) ([]string, error) {
 	n, err := d.length(what, 1)
 	if err != nil {
 		return nil, err
 	}
-	return d.strings(what, n)
+	return d.strings(what, n, buf)
 }

@@ -132,7 +132,7 @@ func decodeColumn(dc *dec, frame string, n int) (*query.Column, error) {
 	}
 	switch c.Type {
 	case query.TInt:
-		if c.Ints, err = dc.intCol(what); err != nil {
+		if c.Ints, err = dc.intCol(what, nil); err != nil {
 			return nil, err
 		}
 		if len(c.Ints) != n {
@@ -159,8 +159,8 @@ func decodeColumn(dc *dec, frame string, n int) (*query.Column, error) {
 		if err != nil {
 			return nil, err
 		}
-		dict := query.NewDict(vals...)
-		if dict.Len() != len(vals) {
+		dict, ok := query.DictOf(vals)
+		if !ok {
 			return nil, dc.err(what+": dictionary repeats a value", ErrCorrupt)
 		}
 		c.Dict = dict

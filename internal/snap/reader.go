@@ -160,8 +160,10 @@ func ReadFrom(r io.Reader) (*Reader, error) {
 	var buf bytes.Buffer
 	// Size hint (bytes.Reader, bytes.Buffer, strings.Reader) avoids the
 	// doubling-regrowth copies that io.ReadAll would pay on a large file.
+	// ReadFrom wants MinRead free bytes before each read, including the
+	// final one that reports EOF, so the hint carries that much slack.
 	if l, ok := r.(interface{ Len() int }); ok {
-		buf.Grow(l.Len() + 1)
+		buf.Grow(l.Len() + bytes.MinRead)
 	}
 	if _, err := buf.ReadFrom(r); err != nil {
 		return nil, fmt.Errorf("snap: reading snapshot: %w", err)

@@ -2,7 +2,10 @@ package snap
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -338,5 +341,70 @@ func TestWriteFileAndOpen(t *testing.T) {
 func TestCorpusFileName(t *testing.T) {
 	if got, want := CorpusFileName("default", 2021), "default-2021.whpcsnap"; got != want {
 		t.Errorf("CorpusFileName = %q, want %q", got, want)
+	}
+}
+
+// TestColumnVarintsMatchBinary checks the integer and code column loops,
+// which decode short varints inline, against encoding/binary: every value
+// on both sides of the one-, two- and three-byte boundaries and the int64
+// extremes round-trips, a column cut anywhere inside its last value is
+// rejected as truncated, and an overlong encoding is rejected rather than
+// decoded.
+func TestColumnVarintsMatchBinary(t *testing.T) {
+	var ints []int64
+	var codes []int32
+	for _, v := range []int64{0, 1, 63, 64, 127, 128, 8191, 8192, 16383, 16384, 1 << 21, 1<<31 - 1} {
+		ints = append(ints, v, -v, -v-1)
+		codes = append(codes, int32(v))
+	}
+	ints = append(ints, math.MaxInt64, math.MinInt64)
+
+	e := &enc{}
+	e.intCol(ints)
+	d := newDec("test", e.bytesOut())
+	got, err := d.intCol("ints", nil)
+	if err != nil || !slices.Equal(got, ints) || d.remaining() != 0 {
+		t.Fatalf("intCol = %v, %v (remaining %d), want %v", got, err, d.remaining(), ints)
+	}
+	e = &enc{}
+	e.codeCol(codes)
+	d = newDec("test", e.bytesOut())
+	gotCodes, err := d.codeCol("codes", 1<<31)
+	if err != nil || !slices.Equal(gotCodes, codes) || d.remaining() != 0 {
+		t.Fatalf("codeCol = %v, %v (remaining %d), want %v", gotCodes, err, d.remaining(), codes)
+	}
+
+	// Cut a one-value column inside its value: 16384 takes three bytes.
+	for _, v := range []int64{64, 8192, math.MinInt64} {
+		e = &enc{}
+		e.intCol([]int64{v})
+		full := e.bytesOut()
+		for cut := 2; cut < len(full); cut++ {
+			if _, err := newDec("test", full[:cut]).intCol("ints", nil); !errors.Is(err, ErrTruncated) {
+				t.Errorf("intCol(%d) cut to %d of %d bytes: err %v, want ErrTruncated", v, cut, len(full), err)
+			}
+		}
+	}
+	e = &enc{}
+	e.codeCol([]int32{16384})
+	full := e.bytesOut()
+	for cut := 2; cut < len(full); cut++ {
+		if _, err := newDec("test", full[:cut]).codeCol("codes", 1<<20); !errors.Is(err, ErrTruncated) {
+			t.Errorf("codeCol(16384) cut to %d of %d bytes: err %v, want ErrTruncated", cut, len(full), err)
+		}
+	}
+
+	// Eleven continuation bytes overflow 64 bits; binary.Uvarint rejects
+	// them and so must both loops.
+	overlong := append([]byte{1}, bytes.Repeat([]byte{0x80}, 10)...)
+	overlong = append(overlong, 0x01)
+	if _, n := binary.Uvarint(overlong[1:]); n >= 0 {
+		t.Fatalf("binary.Uvarint accepted the overlong encoding (n=%d)", n)
+	}
+	if _, err := newDec("test", overlong).intCol("ints", nil); !errors.Is(err, ErrTruncated) {
+		t.Errorf("intCol overlong: err %v, want ErrTruncated", err)
+	}
+	if _, err := newDec("test", overlong).codeCol("codes", 1<<20); !errors.Is(err, ErrTruncated) {
+		t.Errorf("codeCol overlong: err %v, want ErrTruncated", err)
 	}
 }

@@ -120,19 +120,30 @@ func Quantile(xs []float64, p float64) (float64, error) {
 	if p < 0 || p > 1 || math.IsNaN(p) {
 		return 0, errors.New("stats: quantile probability outside [0, 1]")
 	}
+	return quantileSorted(sortedCopy(xs), p), nil
+}
+
+// sortedCopy returns xs sorted ascending, leaving xs untouched.
+func sortedCopy(xs []float64) []float64 {
 	sorted := append([]float64(nil), xs...)
 	sort.Float64s(sorted)
+	return sorted
+}
+
+// quantileSorted is Quantile over a nonempty ascending sample and a valid
+// p; callers needing several quantiles of one sample sort it once.
+func quantileSorted(sorted []float64, p float64) float64 {
 	if len(sorted) == 1 {
-		return sorted[0], nil
+		return sorted[0]
 	}
 	h := p * float64(len(sorted)-1)
 	lo := int(math.Floor(h))
 	hi := int(math.Ceil(h))
 	if lo == hi {
-		return sorted[lo], nil
+		return sorted[lo]
 	}
 	frac := h - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
+	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
 // Skewness returns the adjusted Fisher-Pearson sample skewness of xs.
@@ -186,9 +197,10 @@ func Summarize(xs []float64) (Summary, error) {
 	s.Mean = MustMean(xs)
 	s.Min, _ = Min(xs)
 	s.Max, _ = Max(xs)
-	s.Q1, _ = Quantile(xs, 0.25)
-	s.Median, _ = Median(xs)
-	s.Q3, _ = Quantile(xs, 0.75)
+	sorted := sortedCopy(xs)
+	s.Q1 = quantileSorted(sorted, 0.25)
+	s.Median = quantileSorted(sorted, 0.5)
+	s.Q3 = quantileSorted(sorted, 0.75)
 	if sd, err := StdDev(xs); err == nil {
 		s.StdDev = sd
 	} else {

@@ -11,6 +11,13 @@ import (
 type KDE struct {
 	xs        []float64
 	bandwidth float64
+	// distinct holds each distinct sample bit pattern once and sampleOf
+	// maps sample i to its entry in distinct. The bibliometric samples are
+	// small integers with heavy ties, so the density evaluates one kernel
+	// per distinct value and then adds the terms in sample order: every
+	// addition is the naive n-term loop's, and the result is bit-identical.
+	distinct []float64
+	sampleOf []int32
 }
 
 // BandwidthRule selects the KDE bandwidth heuristic.
@@ -33,8 +40,7 @@ func NewKDE(xs []float64, rule BandwidthRule) (*KDE, error) {
 	if err != nil {
 		return nil, err
 	}
-	data := append([]float64(nil), xs...)
-	return &KDE{xs: data, bandwidth: bw}, nil
+	return newKDE(xs, bw), nil
 }
 
 // NewKDEWithBandwidth builds a KDE with an explicit bandwidth h > 0.
@@ -45,8 +51,29 @@ func NewKDEWithBandwidth(xs []float64, h float64) (*KDE, error) {
 	if h <= 0 || math.IsNaN(h) {
 		return nil, errors.New("stats: KDE bandwidth must be positive")
 	}
-	data := append([]float64(nil), xs...)
-	return &KDE{xs: data, bandwidth: h}, nil
+	return newKDE(xs, h), nil
+}
+
+func newKDE(xs []float64, h float64) *KDE {
+	k := &KDE{
+		xs:        append([]float64(nil), xs...),
+		bandwidth: h,
+		sampleOf:  make([]int32, len(xs)),
+	}
+	// Keyed by bit pattern so -0/+0 and NaN payloads stay apart: identical
+	// bits are the only guarantee of identical kernel terms.
+	slot := make(map[uint64]int32)
+	for i, x := range xs {
+		bits := math.Float64bits(x)
+		j, ok := slot[bits]
+		if !ok {
+			j = int32(len(k.distinct))
+			slot[bits] = j
+			k.distinct = append(k.distinct, x)
+		}
+		k.sampleOf[i] = j
+	}
+	return k
 }
 
 func bandwidth(xs []float64, rule BandwidthRule) (float64, error) {
@@ -54,9 +81,8 @@ func bandwidth(xs []float64, rule BandwidthRule) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	q1, _ := Quantile(xs, 0.25)
-	q3, _ := Quantile(xs, 0.75)
-	iqr := q3 - q1
+	sorted := sortedCopy(xs)
+	iqr := quantileSorted(sorted, 0.75) - quantileSorted(sorted, 0.25)
 	n := float64(len(xs))
 	// Robust spread estimate per bw.nrd0: min(sd, IQR/1.349), falling back
 	// to sd when the IQR collapses (heavily tied samples).
@@ -84,12 +110,33 @@ func (k *KDE) Bandwidth() float64 { return k.bandwidth }
 
 // PDF evaluates the density estimate at x.
 func (k *KDE) PDF(x float64) float64 {
-	var sum float64
+	return k.pdf(x, make([]float64, len(k.distinct)))
+}
+
+// expZero bounds the exponents whose kernel term is exactly zero:
+// below it the true exp is under half the smallest subnormal, and
+// math.Exp returns +0 (amd64's assembly version flushes to zero below
+// about -745.8, the portable one below -745.13). Skipping those calls
+// changes no term, and the zero terms are still added in order.
+const expZero = -746
+
+// pdf evaluates the density at x using terms (one slot per distinct
+// sample value) as scratch.
+func (k *KDE) pdf(x float64, terms []float64) float64 {
 	invH := 1 / k.bandwidth
 	norm := invH / (float64(len(k.xs)) * math.Sqrt(2*math.Pi))
-	for _, xi := range k.xs {
-		z := (x - xi) * invH
-		sum += math.Exp(-0.5 * z * z)
+	for j, xj := range k.distinct {
+		z := (x - xj) * invH
+		e := -0.5 * z * z
+		if e < expZero {
+			terms[j] = 0
+			continue
+		}
+		terms[j] = math.Exp(e)
+	}
+	var sum float64
+	for _, j := range k.sampleOf {
+		sum += terms[j]
 	}
 	return sum * norm
 }
@@ -106,10 +153,11 @@ func (k *KDE) Evaluate(n int) (xs, ys []float64) {
 	hi += 3 * k.bandwidth
 	xs = make([]float64, n)
 	ys = make([]float64, n)
+	terms := make([]float64, len(k.distinct))
 	step := (hi - lo) / float64(n-1)
 	for i := 0; i < n; i++ {
 		xs[i] = lo + float64(i)*step
-		ys[i] = k.PDF(xs[i])
+		ys[i] = k.pdf(xs[i], terms)
 	}
 	return xs, ys
 }

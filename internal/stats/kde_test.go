@@ -15,6 +15,57 @@ func normSample(n int, seed uint64) []float64 {
 	return xs
 }
 
+// naivePDF is the density loop the distinct-value kernel replaced, kept as
+// the oracle: one kernel per sample, summed in sample order.
+func naivePDF(xs []float64, h, x float64) float64 {
+	var sum float64
+	invH := 1 / h
+	norm := invH / (float64(len(xs)) * math.Sqrt(2*math.Pi))
+	for _, xi := range xs {
+		z := (x - xi) * invH
+		sum += math.Exp(-0.5 * z * z)
+	}
+	return sum * norm
+}
+
+// TestKDEBitIdenticalToNaiveSum requires Evaluate and PDF to reproduce
+// the naive per-sample sum bit for bit, on heavily tied integer data (the
+// Fig 3-5 publication counts and h-indexes), on continuous data, and on
+// signed zeros.
+func TestKDEBitIdenticalToNaiveSum(t *testing.T) {
+	// Skipped kernel calls are exact only if math.Exp flushes to zero at
+	// and below expZero; exp is monotone, so the bound is the worst case.
+	if got := math.Exp(expZero); got != 0 {
+		t.Fatalf("math.Exp(%v) = %v, want exactly 0", float64(expZero), got)
+	}
+	rng := rand.New(rand.NewPCG(5, 8))
+	tied := make([]float64, 2000)
+	for i := range tied {
+		tied[i] = math.Floor(math.Exp(rng.NormFloat64()*1.2 + 2))
+	}
+	samples := map[string][]float64{
+		"tied integers": tied,
+		"continuous":    normSample(700, 11),
+		"signed zeros":  {0, math.Copysign(0, -1), 1, 0, -1, math.Copysign(0, -1)},
+	}
+	for name, xs := range samples {
+		k, err := NewKDE(xs, Silverman)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gx, gy := k.Evaluate(256)
+		for i := range gx {
+			want := naivePDF(xs, k.Bandwidth(), gx[i])
+			if math.Float64bits(gy[i]) != math.Float64bits(want) {
+				t.Fatalf("%s: Evaluate at grid %d (x=%g) = %v, naive sum %v", name, i, gx[i], gy[i], want)
+			}
+			if got := k.PDF(gx[i]); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: PDF(%g) = %v, naive sum %v", name, gx[i], got, want)
+			}
+		}
+	}
+}
+
 func TestKDEIntegratesToOne(t *testing.T) {
 	xs := normSample(300, 42)
 	for _, rule := range []BandwidthRule{Silverman, Scott} {
