@@ -6,6 +6,7 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/dataset"
 	"repro/internal/delta"
+	"repro/internal/par"
 	"repro/internal/query"
 	"repro/internal/snap"
 )
@@ -37,11 +38,17 @@ func (s *Study) ApplyDeltaInjected(info snap.DeltaInfo, mini *dataset.Dataset, i
 	if s.harvest != nil {
 		return fmt.Errorf("repro: cannot apply a delta to a harvested study (its records reflect degraded harvest coverage, not the pristine base the delta extends)")
 	}
-	d := s.data.Clone()
-	var fs *query.FrameSet
-	if s.frames != nil {
-		fs = s.frames.Clone()
-	}
+	var (
+		d  *dataset.Dataset
+		fs *query.FrameSet
+	)
+	par.For(2, func(i int) {
+		if i == 0 {
+			d = s.data.Clone()
+		} else if s.frames != nil {
+			fs = s.frames.Clone()
+		}
+	})
 	if err := delta.ApplyInjected(d, fs, info, mini, inj); err != nil {
 		return err
 	}

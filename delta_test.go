@@ -144,28 +144,77 @@ func TestDeltaApplyColdFrames(t *testing.T) {
 }
 
 // TestDeltaApplyDeterministicAcrossGOMAXPROCS applies the delta and runs
-// every exhibit query at GOMAXPROCS 1 and 8, demanding byte-identical
-// output — the queryrepro determinism contract extended to patched frames.
+// every exhibit query at GOMAXPROCS 1, 2 and 8, demanding byte-identical
+// snapshots and query output — the queryrepro determinism contract
+// extended to patched frames. The apply itself runs at each setting too,
+// since it clones and appends the frames concurrently.
 func TestDeltaApplyDeterministicAcrossGOMAXPROCS(t *testing.T) {
-	applied := deltaFix.newBase(t)
-	if err := applied.ApplyDelta(deltaFix.info, deltaFix.mini); err != nil {
-		t.Fatalf("ApplyDelta: %v", err)
-	}
-	run := func() map[string][]byte {
-		out := make(map[string][]byte)
+	run := func(procs int) map[string][]byte {
+		prev := runtime.GOMAXPROCS(procs)
+		defer runtime.GOMAXPROCS(prev)
+		applied := deltaFix.newBase(t)
+		if err := applied.ApplyDelta(deltaFix.info, deltaFix.mini); err != nil {
+			t.Fatalf("GOMAXPROCS=%d: ApplyDelta: %v", procs, err)
+		}
+		out := map[string][]byte{"snapshot": snapshotBytes(t, applied)}
 		for _, eq := range ExhibitQueries() {
 			out[eq.Name] = runExhibitQuery(t, applied, eq)
 		}
 		return out
 	}
-	prev := runtime.GOMAXPROCS(1)
-	serial := run()
-	runtime.GOMAXPROCS(8)
-	parallel := run()
-	runtime.GOMAXPROCS(prev)
-	for name, want := range serial {
-		if !bytes.Equal(parallel[name], want) {
-			t.Errorf("%s: output differs between GOMAXPROCS=1 and 8 on a delta-applied study", name)
+	serial := run(1)
+	for _, procs := range []int{2, 8} {
+		parallel := run(procs)
+		for name, want := range serial {
+			if !bytes.Equal(parallel[name], want) {
+				t.Errorf("%s: output differs between GOMAXPROCS=1 and %d on a delta-applied study", name, procs)
+			}
+		}
+	}
+}
+
+// TestDeltaApplyMatchesResynthesisAcrossSeeds extends the identity
+// guarantee to flagship seeds whose SC'21 edition exercises the two
+// awkward cases: a researcher minted into the base corpus without a role
+// takes their first role in the new edition, so their people row sorts
+// before existing rows (seeds 12, 39, 49); and synthesizing the edition
+// mints researchers who end up holding no role in it (seeds 3 and 5).
+// Corpus and frame snapshot bytes must equal a full resynthesis.
+func TestDeltaApplyMatchesResynthesisAcrossSeeds(t *testing.T) {
+	for _, seed := range []uint64{2021, 3, 5, 12, 39, 49} {
+		cfg := synth.FlagshipSeries(seed)
+		spec, err := synth.YearSpec(cfg, "SC", 2021)
+		if err != nil {
+			t.Fatal(err)
+		}
+		yd, base, err := synth.GenerateYearDelta(cfg, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		info, mini, err := delta.Pack(yd, base.Data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full := cfg
+		full.Confs = append(append([]synth.ConfSpec(nil), cfg.Confs...), spec)
+		resynth, err := NewStudyFromConfig(full)
+		if err != nil {
+			t.Fatal(err)
+		}
+		applied, err := FromDataset(base.Data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		applied.Frames()
+		if err := applied.ApplyDelta(info, mini); err != nil {
+			t.Errorf("seed %d: ApplyDelta: %v", seed, err)
+			continue
+		}
+		if got, want := len(applied.Dataset().Persons), len(resynth.Dataset().Persons); got != want {
+			t.Errorf("seed %d: delta-applied corpus has %d persons, resynthesis %d", seed, got, want)
+		}
+		if got, want := snapshotBytes(t, applied), snapshotBytes(t, resynth); !bytes.Equal(got, want) {
+			t.Errorf("seed %d: snapshot (corpus + frames) differs between delta-applied and resynthesized study", seed)
 		}
 	}
 }

@@ -26,10 +26,10 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
+
+	"repro/internal/par"
 )
 
 // Finding is one diagnostic produced by an analyzer, positioned at the
@@ -209,44 +209,24 @@ func Vet(pkgs []*Package, analyzers []*Analyzer) []Finding {
 	}
 
 	results := make([][]Finding, len(pkgs))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(pkgs) {
-		workers = len(pkgs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				pkg := pkgs[i]
-				for _, a := range perPkg {
-					if !a.AppliesTo(pkg.Path) {
-						continue
-					}
-					pass := &Pass{
-						Fset:     pkg.Fset,
-						Files:    pkg.Files,
-						Pkg:      pkg.Types,
-						PkgPath:  pkg.Path,
-						Info:     pkg.Info,
-						findings: &results[i],
-						rule:     a.Name,
-					}
-					a.Run(pass)
-				}
+	par.For(len(pkgs), func(i int) {
+		pkg := pkgs[i]
+		for _, a := range perPkg {
+			if !a.AppliesTo(pkg.Path) {
+				continue
 			}
-		}()
-	}
-	for i := range pkgs {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+			pass := &Pass{
+				Fset:     pkg.Fset,
+				Files:    pkg.Files,
+				Pkg:      pkg.Types,
+				PkgPath:  pkg.Path,
+				Info:     pkg.Info,
+				findings: &results[i],
+				rule:     a.Name,
+			}
+			a.Run(pass)
+		}
+	})
 
 	var findings []Finding
 	for _, fs := range results {

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cite"
 	"repro/internal/dataset"
+	"repro/internal/par"
 )
 
 // This file is the incremental-maintenance half of the frame builders: it
@@ -141,9 +142,6 @@ func personAppendSinks(a []*colAppender) personSinks {
 //   - d contains confID as its final conference, and every earlier
 //     conference matches the frames' pre-seeded conference dictionary in
 //     corpus order;
-//   - researchers first appearing at confID sort after every person row
-//     already present (the synthesizer mints IDs in increasing order), so
-//     the people frame's sorted-by-ID row order stays append-only;
 //   - d's papers keep each conference's papers contiguous with the new
 //     conference's at the tail (true for the synthesizer and the delta
 //     merge path);
@@ -152,7 +150,10 @@ func personAppendSinks(a []*colAppender) personSinks {
 //     pools and the citations frame stays a pure tail append.
 //
 // A violated precondition returns an error with the frames untouched;
-// callers fall back to a full rebuild.
+// callers fall back to a full rebuild. The people frame, kept in sorted-ID
+// order, is appended to when every researcher first holding a role at
+// confID sorts after the existing rows (the synthesizer mints IDs in
+// increasing order) and rebuilt from d otherwise.
 func (fs *FrameSet) AppendConference(d *dataset.Dataset, confID dataset.ConfID) error {
 	c, ok := d.Conference(confID)
 	if !ok {
@@ -203,29 +204,44 @@ func (fs *FrameSet) AppendConference(d *dataset.Dataset, confID dataset.ConfID) 
 		}
 	}
 	sort.Strings(newIDs)
-	if len(newIDs) > 0 && people.NumRows > 0 {
-		if last := personCol.str(people.NumRows - 1); newIDs[0] <= last {
-			return fmt.Errorf("query: append: new person %q does not sort after existing %q; people frame order not append-compatible",
-				newIDs[0], last)
+	// A researcher minted into the base corpus without a role there has no
+	// people row; when such a researcher first takes a role here, their ID
+	// can sort before existing rows. The people frame is then rebuilt from
+	// the merged corpus instead of appended to.
+	rebuildPeople := len(newIDs) > 0 && people.NumRows > 0 && newIDs[0] <= personCol.str(people.NumRows-1)
+
+	// The six frames share nothing, so their appends run concurrently;
+	// errors are reported in frame order.
+	var rebuilt *Frame
+	steps := [...]func() error{
+		func() error { return fs.appendSlots(d, c) },
+		func() error {
+			if rebuildPeople {
+				rebuilt = buildPeople(d)
+				return nil
+			}
+			return fs.appendPeople(d, c, confRoles, confAuthored, newIDs)
+		},
+		func() error { return fs.appendMembers(d, c) },
+		func() error { return fs.appendPapers(d, c) },
+		func() error { return fs.appendCohorts(d, c) },
+		func() error { return fs.appendCitations(d, c) },
+	}
+	errs := make([]error, len(steps))
+	par.For(len(steps), func(i int) { errs[i] = steps[i]() })
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
 	}
-
-	if err := fs.appendSlots(d, c); err != nil {
-		return err
+	if rebuilt != nil {
+		for i, f := range fs.frames {
+			if f.Name == FramePeople {
+				fs.frames[i] = rebuilt
+			}
+		}
 	}
-	if err := fs.appendPeople(d, c, confRoles, confAuthored, newIDs); err != nil {
-		return err
-	}
-	if err := fs.appendMembers(d, c); err != nil {
-		return err
-	}
-	if err := fs.appendPapers(d, c); err != nil {
-		return err
-	}
-	if err := fs.appendCohorts(d, c); err != nil {
-		return err
-	}
-	return fs.appendCitations(d, c)
+	return nil
 }
 
 // confContribution returns, per person participating in conference c, the

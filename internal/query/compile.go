@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"unsafe"
 )
 
 // Predicate operators, compiled from their JSON names.
@@ -536,6 +537,9 @@ func compile(fs *FrameSet, q *Query) (*plan, error) {
 				return nil, invalidf("group_by[%d]: cannot complete over int column %q (no finite domain)", i, k.col.Name)
 			}
 		}
+		if err := checkCompleteCost(p); err != nil {
+			return nil, err
+		}
 	}
 
 	if err := compileOrderBy(p, q.OrderBy); err != nil {
@@ -547,6 +551,38 @@ func compile(fs *FrameSet, q *Query) (*plan, error) {
 		}
 	}
 	return p, nil
+}
+
+// completeBudget bounds the memory a complete query's cross product may
+// take. Every combination of key values becomes a materialized group, and
+// limit is applied only afterwards, so the key domains alone set the cost.
+const completeBudget = 64 << 20
+
+// checkCompleteCost estimates a complete query's groups as the product of
+// its key domains — dictionary cardinality plus null for strings, three
+// tokens for bools, as the dense accumulator layout counts them — and
+// refuses the query with ErrTooExpensive when they would not fit the
+// budget. The estimate depends only on the schema and dictionaries, so
+// every shard of a federation and its coordinator reach the same verdict.
+func checkCompleteCost(p *plan) error {
+	// A group costs its pointer in the output list, its groupAcc, its key
+	// tokens and one accumulator cell per aggregate.
+	perGroup := 8 + unsafe.Sizeof(groupAcc{}) + 8*uintptr(len(p.keys)) + unsafe.Sizeof(accCell{})*uintptr(len(p.aggs))
+	groups := 1.0
+	names := make([]string, len(p.keys))
+	for i, k := range p.keys {
+		domain := 3
+		if k.col.Type == TStr {
+			domain = k.col.Dict.Len() + 1
+		}
+		groups *= float64(domain)
+		names[i] = k.col.Name
+	}
+	if need := groups * float64(perGroup); need > completeBudget {
+		return fmt.Errorf("%w: complete over %s would materialize ~%.3g groups (~%.0f MiB), over the %d MiB budget",
+			ErrTooExpensive, strings.Join(names, " x "), groups, need/(1<<20), completeBudget>>20)
+	}
+	return nil
 }
 
 // compileOrderBy resolves sort keys against the unified output row (keys

@@ -4,11 +4,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
+	"repro/internal/par"
 	"repro/internal/stats"
 )
 
@@ -552,37 +550,12 @@ func scanGrouped(p *plan) []*accSet {
 	n := p.f.NumRows
 	parts := (n + partitionRows - 1) / partitionRows
 	results := make([]*accSet, parts)
-
-	workers := runtime.GOMAXPROCS(0)
-	if workers > parts {
-		workers = parts
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				pi := int(next.Add(1)) - 1
-				if pi >= parts {
-					return
-				}
-				a := newAccSet(p)
-				lo := pi * partitionRows
-				hi := lo + partitionRows
-				if hi > n {
-					hi = n
-				}
-				scanPartition(p, a, lo, hi)
-				results[pi] = a
-			}
-		}()
-	}
-	wg.Wait()
+	par.For(parts, func(pi int) {
+		a := newAccSet(p)
+		lo := pi * partitionRows
+		scanPartition(p, a, lo, min(lo+partitionRows, n))
+		results[pi] = a
+	})
 	return results
 }
 

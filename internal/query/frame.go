@@ -9,6 +9,7 @@ import (
 	"repro/internal/countries"
 	"repro/internal/dataset"
 	"repro/internal/gender"
+	"repro/internal/par"
 )
 
 // Frame is one columnar table: a fixed set of typed columns over the same
@@ -118,16 +119,16 @@ func (fs *FrameSet) Schema(name string) []string {
 
 // NewFrameSet flattens a corpus into columnar frames. Dictionaries that
 // carry a presentation order (conference, role, population) are pre-seeded
-// so "appearance"-mode sorting reproduces the paper's table order.
+// so "appearance"-mode sorting reproduces the paper's table order. The six
+// builders share nothing but the read-only corpus (each builds its own
+// dictionaries), so they run concurrently.
 func NewFrameSet(d *dataset.Dataset) *FrameSet {
-	return &FrameSet{frames: []*Frame{
-		buildSlots(d),
-		buildPeople(d),
-		buildMembers(d),
-		buildPapers(d),
-		buildCohorts(d),
-		buildCitations(d),
-	}}
+	builders := [...]func(*dataset.Dataset) *Frame{
+		buildSlots, buildPeople, buildMembers, buildPapers, buildCohorts, buildCitations,
+	}
+	frames := make([]*Frame, len(builders))
+	par.For(len(builders), func(i int) { frames[i] = builders[i](d) })
+	return &FrameSet{frames: frames}
 }
 
 // confDicts returns dictionaries for conference IDs and names pre-seeded in
@@ -514,9 +515,9 @@ func buildMembers(d *dataset.Dataset) *Frame {
 
 // papersSinks names the papers frame's columns in schema order.
 type papersSinks struct {
-	paper, conf, name, year                        colSink
-	leadGender, leadKnown, leadFemale              colSink
-	citations, hpc, authors, doubleBlind           colSink
+	paper, conf, name, year              colSink
+	leadGender, leadKnown, leadFemale    colSink
+	citations, hpc, authors, doubleBlind colSink
 }
 
 // emitPaperRow emits one paper row with lead-author demographics

@@ -401,6 +401,45 @@ func TestMeanMinMaxSumAgree(t *testing.T) {
 	}
 }
 
+// personCrossProduct is the ~200-byte spec whose complete cross product
+// (every person paired with every person) once grew to tens of millions of
+// groups before limit applied.
+func personCrossProduct() *Query {
+	return &Query{
+		Frame:    FrameMembers,
+		GroupBy:  []Key{{Col: "person"}, {Col: "person", As: "person2"}},
+		Aggs:     []Agg{{Op: "count", As: "n"}},
+		Complete: true,
+		Limit:    2,
+	}
+}
+
+// TestCompleteCostBound: a complete query whose key domains multiply past
+// the memory budget is refused at compile time with ErrTooExpensive,
+// before any group is materialized, while a large single-key completion
+// still runs.
+func TestCompleteCostBound(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Run(testFrames, personCrossProduct())
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrTooExpensive) {
+		t.Fatalf("person x person complete: err = %v, want ErrTooExpensive", err)
+	}
+	if errors.Is(err, ErrInvalid) {
+		t.Errorf("ErrTooExpensive must not also read as ErrInvalid: %v", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("refusal allocated %d bytes, want it decided before execution", grew)
+	}
+	q := personCrossProduct()
+	q.GroupBy = q.GroupBy[:1]
+	res := mustRun(t, q)
+	if len(res.Rows) != 2 {
+		t.Errorf("single-key person completion returned %d rows, want limit 2", len(res.Rows))
+	}
+}
+
 func TestJSONEncodingHandlesNaN(t *testing.T) {
 	// A completed group with no rows yields a 0/0 ratio (NaN): CSV renders
 	// "NaN", JSON renders null — both deterministic.

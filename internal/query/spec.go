@@ -19,6 +19,12 @@ var ErrInvalid = errors.New("query: invalid query")
 // (mapped to 422) rather than a server fault.
 var ErrEmpty = errors.New("query: no rows matched; nothing to group")
 
+// ErrTooExpensive marks a valid query refused at compile time because
+// executing it would take more memory than the engine allows one query
+// (a "complete" cross product over large key domains). The serving layer
+// maps it to 422.
+var ErrTooExpensive = errors.New("query: too expensive")
+
 // Output formats accepted in Query.Format.
 const (
 	FormatJSON = "json"

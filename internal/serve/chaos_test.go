@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -248,6 +249,41 @@ func TestChaosPanicContainment(t *testing.T) {
 	rec := get(t, s, "/v1/report")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("post-panic render status = %d, want 200: %s", rec.Code, rec.Body.String())
+	}
+	if got := s.met.panics.Value(); got != 1 {
+		t.Fatalf("whpcd_panics_total moved to %d after a clean request", got)
+	}
+}
+
+// TestReportWorkerPanicContained: a panic inside one of WriteReport's
+// concurrent exhibit renders is re-raised on the request goroutine, where
+// the middleware contains it like any other — the request fails 500,
+// whpcd_panics_total increments, no render goroutine outlives it, and the
+// server goes on serving.
+func TestReportWorkerPanicContained(t *testing.T) {
+	leakcheck.Check(t)
+	prev := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(prev)
+	s := newTestServer(t, func(c *Config) { c.Metrics = obs.NewRegistry() })
+	broken, err := repro.NewStudy(testSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Knock a lead author's record out after validation: the exhibits that
+	// count genders dereference it on render workers.
+	d := broken.Dataset()
+	d.Persons[d.Papers[0].Authors[0]] = nil
+	healthy := s.studies
+	s.studies = NewStudyRegistry(1, func(StudyKey) (*repro.Study, error) { return broken, nil }, nil, nil, nil)
+	if rec := get(t, s, "/v1/report"); rec.Code != http.StatusInternalServerError {
+		t.Fatalf("report with a panicking exhibit: status = %d, want 500", rec.Code)
+	}
+	if got := s.met.panics.Value(); got != 1 {
+		t.Fatalf("whpcd_panics_total = %d, want 1", got)
+	}
+	s.studies = healthy
+	if rec := get(t, s, "/v1/report"); rec.Code != http.StatusOK {
+		t.Fatalf("next report: status = %d, want 200: %s", rec.Code, rec.Body.String())
 	}
 	if got := s.met.panics.Value(); got != 1 {
 		t.Fatalf("whpcd_panics_total moved to %d after a clean request", got)

@@ -122,7 +122,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		switch {
 		case errors.Is(err, query.ErrInvalid):
 			writeQueryError(w, http.StatusBadRequest, err.Error())
-		case errors.Is(err, query.ErrEmpty):
+		case errors.Is(err, query.ErrEmpty), errors.Is(err, query.ErrTooExpensive):
 			writeQueryError(w, http.StatusUnprocessableEntity, err.Error())
 		default:
 			writeQueryError(w, errorStatus(err), err.Error())

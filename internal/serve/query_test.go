@@ -126,6 +126,7 @@ func TestQueryBadRequests(t *testing.T) {
 		{"trailing data", `{"frame":"slots","select":["conference"]} extra`, http.StatusBadRequest},
 		{"float select", `{"frame":"people","select":[{"col":"hindex"}]}`, http.StatusBadRequest},
 		{"float select among keys", `{"frame":"slots","select":["conference","attendance"]}`, http.StatusBadRequest},
+		{"complete cross product too expensive", personCrossProductSpec, http.StatusUnprocessableEntity},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -138,6 +139,27 @@ func TestQueryBadRequests(t *testing.T) {
 	}
 	if got := s.met.panics.Value(); got != 0 {
 		t.Errorf("whpcd_panics_total = %d after the bad-request matrix, want 0", got)
+	}
+}
+
+// personCrossProductSpec completes members over person x person: valid,
+// but its cross product is far over the engine's memory budget.
+const personCrossProductSpec = `{"frame":"members","group_by":["person",{"col":"person","as":"person2"}],"aggs":[{"op":"count","as":"n"}],"complete":true,"limit":2}`
+
+// TestQueryTooExpensiveClustered: a cluster-mode server refuses the same
+// spec with the same 422, without retries and without a contained panic.
+func TestQueryTooExpensiveClustered(t *testing.T) {
+	s, _ := clusterServer(t, 4, nil)
+	rec := postQuery(t, s, personCrossProductSpec)
+	if rec.Code != http.StatusUnprocessableEntity {
+		t.Fatalf("status = %d, want 422: %s", rec.Code, rec.Body.String())
+	}
+	decodeQueryError(t, rec)
+	if got := s.met.shardRetries.Value(); got != 0 {
+		t.Errorf("whpcd_shard_retries_total = %d, want 0", got)
+	}
+	if got := s.met.panics.Value(); got != 0 {
+		t.Errorf("whpcd_panics_total = %d, want 0", got)
 	}
 }
 

@@ -336,8 +336,9 @@ func (c *Cluster) runShard(ctx context.Context, study string, shard int, replica
 			return subResult{partial: pt}
 		}
 		lastErr = err
-		if errors.Is(err, query.ErrInvalid) || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			// Invalid specs fail identically everywhere, and a dead parent
+		if errors.Is(err, query.ErrInvalid) || errors.Is(err, query.ErrTooExpensive) ||
+			errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+			// Refused specs fail identically everywhere, and a dead parent
 			// context means nobody is waiting: both are non-retryable.
 			return subResult{err: err}
 		}

@@ -214,6 +214,31 @@ func TestAllReplicasDownIsTypedUnavailable(t *testing.T) {
 	}
 }
 
+// TestCompleteCostBoundFederated: the person x person complete cross
+// product is refused with query.ErrTooExpensive by every shard, and the
+// refusal is not retried on replicas or reported as an unavailable shard.
+func TestCompleteCostBoundFederated(t *testing.T) {
+	var retries atomic.Int32
+	c := mustCluster(t, Config{Shards: 4, Workers: 4, Replicas: 2, Hooks: Hooks{Retry: func() { retries.Add(1) }}})
+	q := &query.Query{
+		Frame:    query.FrameMembers,
+		GroupBy:  []query.Key{{Col: "person"}, {Col: "person", As: "person2"}},
+		Aggs:     []query.Agg{{Op: "count", As: "n"}},
+		Complete: true,
+		Limit:    2,
+	}
+	_, err := c.Query(context.Background(), "study", q)
+	if !errors.Is(err, query.ErrTooExpensive) {
+		t.Fatalf("err = %v, want query.ErrTooExpensive", err)
+	}
+	if errors.Is(err, ErrShardUnavailable) {
+		t.Errorf("a refused spec was reported as an unavailable shard: %v", err)
+	}
+	if got := retries.Load(); got != 0 {
+		t.Errorf("%d replica retries for a refused spec, want 0", got)
+	}
+}
+
 func TestUnplacedStudyFails(t *testing.T) {
 	c, err := New(Config{Shards: 2})
 	if err != nil {

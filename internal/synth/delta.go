@@ -13,11 +13,13 @@ import (
 // — researchers minted for this edition and base researchers it reuses
 // alike, so the delta is self-contained (a delta snapshot's mini-corpus
 // passes dataset.Validate on its own) and the apply path can verify reused
-// records instead of trusting them.
+// records instead of trusting them. Researchers minted while the edition
+// was synthesized who ended up holding no role in it are carried too: a
+// full resynthesis has them, so an applied delta must add them.
 type YearDelta struct {
 	Conf    *dataset.Conference
 	Papers  []*dataset.Paper
-	Persons []*dataset.Person // every participant, sorted by ID
+	Persons []*dataset.Person // every participant and newly minted researcher, sorted by ID
 }
 
 // YearSpec derives the calibration for a new edition of an existing series
@@ -108,6 +110,11 @@ func GenerateYearDelta(cfg Config, spec ConfSpec) (*YearDelta, *Corpus, error) {
 	}
 	for _, r := range dataset.Roles() {
 		for _, id := range c.RoleHolders(r) {
+			seen[id] = true
+		}
+	}
+	for id := range grown.Data.Persons {
+		if _, ok := base.Data.Persons[id]; !ok {
 			seen[id] = true
 		}
 	}

@@ -2,6 +2,9 @@ package repro
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"io"
 	"runtime"
 	"strings"
 	"testing"
@@ -162,6 +165,104 @@ func TestReportDeterministicAcrossGOMAXPROCS(t *testing.T) {
 			t.Errorf("report differs between GOMAXPROCS=1 (%d bytes) and GOMAXPROCS=8 (%d bytes); first divergence at line %d",
 				len(serial), len(parallel), line)
 		})
+	}
+}
+
+// sequentialReport is WriteReport without the fan-out: every exhibit
+// renders straight into w, one after another, in report order. It is the
+// oracle the concurrent render must match byte for byte.
+func sequentialReport(w io.Writer, exhibits []Exhibit) error {
+	for _, ex := range exhibits {
+		if _, err := fmt.Fprintf(w, "\n========== %s ==========\n", ex.Title); err != nil {
+			return err
+		}
+		err := ex.Render(w)
+		if errors.Is(err, core.ErrNotApplicable) {
+			if _, werr := fmt.Fprintf(w, "(not applicable to this corpus: %v)\n", err); werr != nil {
+				return werr
+			}
+			continue
+		}
+		if err != nil {
+			return fmt.Errorf("repro: rendering %q: %w", ex.Title, err)
+		}
+	}
+	return nil
+}
+
+// TestWriteReportMatchesSequentialOracle renders the main, flagship (whose
+// single-blind exhibits are not applicable) and fault-harvested corpora
+// concurrently at GOMAXPROCS 1, 2 and 8, and demands the bytes of the
+// sequential oracle each time.
+func TestWriteReportMatchesSequentialOracle(t *testing.T) {
+	flagship, err := NewFlagshipStudy(2021)
+	if err != nil {
+		t.Fatal(err)
+	}
+	harvested, err := NewHarvestedStudy(2021, "flaky")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		s    *Study
+	}{{"main", study}, {"flagship", flagship}, {"harvested", harvested}} {
+		var want bytes.Buffer
+		if err := sequentialReport(&want, c.s.Exhibits()); err != nil {
+			t.Fatalf("%s: oracle: %v", c.name, err)
+		}
+		if c.name == "flagship" && !bytes.Contains(want.Bytes(), []byte("(not applicable to this corpus:")) {
+			t.Fatalf("flagship report has no not-applicable note; the case no longer covers that path")
+		}
+		for _, procs := range []int{1, 2, 8} {
+			var got bytes.Buffer
+			prev := runtime.GOMAXPROCS(procs)
+			err := c.s.WriteReport(&got)
+			runtime.GOMAXPROCS(prev)
+			if err != nil {
+				t.Fatalf("%s GOMAXPROCS=%d: %v", c.name, procs, err)
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Errorf("%s GOMAXPROCS=%d: report (%d bytes) differs from the sequential oracle (%d bytes)",
+					c.name, procs, got.Len(), want.Len())
+			}
+		}
+	}
+}
+
+// TestWriteExhibitsPartialOutput: output an exhibit wrote before failing
+// is kept, after its heading, both when the failure is ErrNotApplicable
+// (the note follows and the report goes on) and when it is an error (the
+// report stops there, with the same error as the sequential oracle).
+func TestWriteExhibitsPartialOutput(t *testing.T) {
+	exhibits := []Exhibit{
+		{"whole", "Whole", func(w io.Writer) error { _, err := io.WriteString(w, "all of it\n"); return err }},
+		{"scoped", "Scoped", func(w io.Writer) error {
+			io.WriteString(w, "partial\n")
+			return fmt.Errorf("no single-blind venue: %w", core.ErrNotApplicable)
+		}},
+		{"broken", "Broken", func(w io.Writer) error {
+			io.WriteString(w, "half a ta")
+			return errors.New("render failed")
+		}},
+		{"after", "After", func(w io.Writer) error { _, err := io.WriteString(w, "never printed\n"); return err }},
+	}
+	var want bytes.Buffer
+	wantErr := sequentialReport(&want, exhibits)
+	if wantErr == nil || bytes.Contains(want.Bytes(), []byte("never printed")) {
+		t.Fatalf("oracle did not stop at the failing exhibit: %v\n%s", wantErr, want.Bytes())
+	}
+	for _, procs := range []int{1, 2, 8} {
+		var got bytes.Buffer
+		prev := runtime.GOMAXPROCS(procs)
+		err := writeExhibits(&got, exhibits)
+		runtime.GOMAXPROCS(prev)
+		if err == nil || err.Error() != wantErr.Error() {
+			t.Errorf("GOMAXPROCS=%d: error %v, want %v", procs, err, wantErr)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("GOMAXPROCS=%d: output\n%s\nwant\n%s", procs, got.Bytes(), want.Bytes())
+		}
 	}
 }
 

@@ -21,6 +21,7 @@
 package repro
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -33,6 +34,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/faulty"
 	"repro/internal/ingest"
+	"repro/internal/par"
 	"repro/internal/query"
 	"repro/internal/synth"
 )
@@ -399,13 +401,26 @@ func ReplicateDefault(n int, baseSeed uint64) (core.ReplicationStudy, error) {
 }
 
 // WriteReport renders the complete paper reproduction — every table and
-// figure — to w, iterating the Exhibits enumeration in order.
-func (s *Study) WriteReport(w io.Writer) error {
-	for _, ex := range s.Exhibits() {
+// figure — to w, iterating the Exhibits enumeration in order. The
+// exhibits, each a pure function of the study, render concurrently into
+// their own buffers; the buffers are then written in report order, so the
+// bytes (and, on error, the partial output before it) match a sequential
+// render exactly.
+func (s *Study) WriteReport(w io.Writer) error { return writeExhibits(w, s.Exhibits()) }
+
+// writeExhibits is WriteReport over a given exhibit list.
+func writeExhibits(w io.Writer, exhibits []Exhibit) error {
+	bufs := make([]bytes.Buffer, len(exhibits))
+	errs := make([]error, len(exhibits))
+	par.For(len(exhibits), func(i int) { errs[i] = exhibits[i].Render(&bufs[i]) })
+	for i, ex := range exhibits {
 		if _, err := fmt.Fprintf(w, "\n========== %s ==========\n", ex.Title); err != nil {
 			return err
 		}
-		err := ex.Render(w)
+		if _, err := w.Write(bufs[i].Bytes()); err != nil {
+			return err
+		}
+		err := errs[i]
 		if errors.Is(err, core.ErrNotApplicable) {
 			// Corpora differ in scope (the flagship series has no
 			// single-blind venue, a custom corpus may carry no topic
